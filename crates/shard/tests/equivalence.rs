@@ -178,6 +178,34 @@ fn sharded_agrees_with_parallel_and_chip_engines() {
     let mut chip = tn_chip::TrueNorthSim::new(common::stochastic_net(3, 3, 23));
     let chip_tr = transcript(&mut chip, &mut common::inputs_for(num, ticks), ticks, 20);
     assert_eq!(reference.digests, chip_tr.digests, "chip digests");
+
+    // Under the fault plan, with external input that includes an
+    // out-of-grid event, every expression's whole transcript matches:
+    // digests, outputs, spikes, sops, dropped inputs and fault counters.
+    let text = common::fault_plan_text();
+    let plan = FaultPlan::parse(text).unwrap();
+    let reference = reference_transcript(3, 3, 23, ticks, Some(text));
+    assert_eq!(reference.dropped_inputs, 1, "the out-of-grid event is dropped");
+    assert!(
+        reference.counters.is_some_and(|c| c.total_dropped() > 0),
+        "the plan must actually drop traffic"
+    );
+    for threads in [1, 2, 3] {
+        let mut par = tn_compass::ParallelSim::new(common::stochastic_net(3, 3, 23), threads);
+        par.attach_faults(&plan);
+        let par_tr = transcript(&mut par, &mut common::inputs_for(num, ticks), ticks, 20);
+        assert_equivalent(
+            &reference,
+            &par_tr,
+            &format!("faulted parallel, {threads} threads"),
+        );
+    }
+    let mut chip = tn_chip::TrueNorthSim::new(common::stochastic_net(3, 3, 23));
+    chip.attach_faults(&plan);
+    let chip_tr = transcript(&mut chip, &mut common::inputs_for(num, ticks), ticks, 20);
+    assert_equivalent(&reference, &chip_tr, "faulted chip");
+    let (sharded, _) = sharded_transcript(3, 3, 23, ticks, Some(text), &ShardSpec::default());
+    assert_equivalent(&reference, &sharded, "faulted sharded");
 }
 
 /// Checkpoint/restore through the object-safe trait: a restored sharded

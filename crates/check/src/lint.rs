@@ -208,10 +208,11 @@ fn has_guarded_wait(code: &str) -> bool {
 }
 
 /// A spawn in statement position or explicitly discarded — the two
-/// shapes that detach a thread. Bound spawns (`let h = ...`,
-/// `handles.push(...)`, scoped spawns) keep a join path and are not
-/// flagged.
-fn is_detached_spawn(trimmed: &str) -> bool {
+/// shapes that detach a thread — unless the same statement joins it.
+/// Bound spawns (`let h = ...`, `handles.push(...)`, scoped spawns) keep
+/// a join path and are not flagged.
+fn is_detached_spawn(lines: &[&str], idx: usize) -> bool {
+    let trimmed = code_part(lines[idx]).trim_start();
     let discarded = trimmed.starts_with("let _ =") && trimmed.contains("spawn(");
     let statement_position = [
         "std::thread::spawn(",
@@ -220,7 +221,33 @@ fn is_detached_spawn(trimmed: &str) -> bool {
     ]
     .iter()
     .any(|p| trimmed.starts_with(p));
-    discarded || statement_position
+    (discarded || statement_position) && !joined_in_statement(lines, idx)
+}
+
+/// Whether the statement starting at `lines[idx]` calls `.join()` on its
+/// own method chain (bracket depth 0) before it ends — the
+/// `spawn(..).expect(..).join()` shape. A `.join()` inside the spawned
+/// closure is deeper and does not count.
+fn joined_in_statement(lines: &[&str], idx: usize) -> bool {
+    let mut depth = 0i32;
+    for raw in &lines[idx..] {
+        let code = code_part(raw);
+        for (i, c) in code.char_indices() {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => {
+                    depth -= 1;
+                    if depth < 0 {
+                        return false;
+                    }
+                }
+                ';' if depth == 0 => return false,
+                '.' if depth == 0 && code[i..].starts_with(".join()") => return true,
+                _ => {}
+            }
+        }
+    }
+    false
 }
 
 fn file_allows(text: &str, code: &str) -> bool {
@@ -303,7 +330,7 @@ fn scan_file(rel: &Path, text: &str, crate_is_shimmed: bool) -> Vec<Finding> {
             });
         }
 
-        if is_detached_spawn(trimmed)
+        if is_detached_spawn(&lines, idx)
             && !allow("TN024")
             && !any_prior_contains(&lines, idx, SPAWN_LOOKBACK, SYNC_MARK)
         {
@@ -388,6 +415,15 @@ mod tests {
             "{SYNC_MARK} exits when the channel closes\nlet _ = std::thread::spawn(run);\n"
         );
         assert!(scan(&ok).is_empty());
+        let joined = "std::thread::Builder::new()\n    .name(\"probe\".into())\n    .spawn(|| {\n        work();\n    })\n    .expect(\"spawning\")\n    .join()\n    .expect(\"probe\");\n";
+        assert!(scan(joined).is_empty(), "joined in the same statement");
+        assert!(scan("thread::spawn(work).join().unwrap();\n").is_empty());
+        let unjoined = "std::thread::Builder::new()\n    .spawn(move || h.join())\n    .expect(\"spawning\");\nlet j = x.join();\n";
+        assert_eq!(
+            scan(unjoined),
+            vec!["TN024"],
+            "a join inside the closure or after the statement does not count"
+        );
     }
 
     #[test]

@@ -222,6 +222,9 @@ impl ShardWorker {
 /// whole worker: both the `tn-shard-worker` binary and the in-process
 /// spawn mode call straight into it.
 pub fn serve(stream: TcpStream) -> io::Result<()> {
+    // Each frame goes out in several small writes; without NODELAY every
+    // `Done` reply waits on the coordinator's delayed ACK.
+    stream.set_nodelay(true)?;
     let reader = stream.try_clone()?;
     let mut writer = FrameWriter::new(stream);
     serve_io(reader, &mut writer)
@@ -368,6 +371,26 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(proto::read_from_worker(&mut r).unwrap(), FromWorker::Ok);
+    }
+
+    #[test]
+    fn worker_socket_disables_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker_side = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let probe = worker_side.try_clone().unwrap();
+        let (mut coordinator, _) = listener.accept().unwrap();
+        let h = std::thread::spawn(move || serve(worker_side));
+        let mut req = FrameWriter::new(coordinator.try_clone().unwrap());
+        proto::write_to_worker(&mut req, &ToWorker::Shutdown).unwrap();
+        assert_eq!(
+            proto::read_from_worker(&mut coordinator).unwrap(),
+            FromWorker::Ok
+        );
+        h.join().unwrap().unwrap();
+        assert!(
+            probe.nodelay().unwrap(),
+            "worker replies must not wait on Nagle"
+        );
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   spike aggregation between thread pairs, and a two-step barrier
 //!   synchronization per tick.
 //!
-//! Both simulators produce bit-identical network state for identical
+//! Both run the shared tick pipeline of [`tn_core::tick`] around an
+//! [`shell::EngineShell`], as the chip simulator in `tn-chip` does, and
+//! produce bit-identical network state for identical
 //! (configuration, seed, input) triples — the property paper Section VI-A
 //! verifies between Compass and the TrueNorth silicon with 413,333
 //! regressions.
@@ -24,12 +26,14 @@ pub mod parallel;
 pub mod partition;
 pub mod reference;
 pub mod session;
+pub mod shell;
 pub(crate) mod sync;
 pub mod trace;
 
 pub use output::{OutputEvent, SpikeRecord};
 pub use parallel::{AggregationMode, ParallelSim, PoolMode};
-pub use partition::{owner_of, weighted_split_points};
+pub use partition::{owner_of, split_cores, weighted_split_points};
 pub use reference::ReferenceSim;
 pub use session::{publish_common, KernelSession};
+pub use shell::EngineShell;
 pub use trace::SpikeTrace;

@@ -47,6 +47,19 @@ pub fn weighted_split_points(weights: &[u64], n: usize) -> Vec<usize> {
     starts
 }
 
+/// Split a network's cores into at most `n` contiguous ranges of
+/// near-equal load, weighting each core by a fixed per-core cost plus its
+/// active synapse count. Returns the range starts, as
+/// [`weighted_split_points`] does.
+pub fn split_cores(net: &tn_core::Network, n: usize) -> Vec<usize> {
+    let weights: Vec<u64> = net
+        .cores()
+        .iter()
+        .map(|c| 64 + c.config().crossbar.active_synapses() as u64)
+        .collect();
+    weighted_split_points(&weights, n)
+}
+
 /// Find which range an index belongs to (binary search over start
 /// offsets).
 #[inline]

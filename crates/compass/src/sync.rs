@@ -19,7 +19,7 @@ pub(crate) mod atomic {
     pub(crate) use std::sync::atomic::Ordering;
 
     #[cfg(not(tn_check))]
-    pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize};
+    pub(crate) use std::sync::atomic::AtomicUsize;
     #[cfg(tn_check)]
-    pub(crate) use tn_check::sync::atomic::{AtomicU64, AtomicUsize};
+    pub(crate) use tn_check::sync::atomic::AtomicUsize;
 }

@@ -49,6 +49,7 @@ pub mod rng;
 pub mod snapshot;
 pub mod soa;
 pub mod stats;
+pub mod tick;
 pub mod wire;
 
 pub use address::{CoreCoord, CoreId, Dest, NeuronId, OutSpike, SpikeTarget};

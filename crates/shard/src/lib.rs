@@ -14,7 +14,7 @@
 //! inputs, and fault plan. Three properties make that possible:
 //!
 //! 1. **Deterministic partitioning** ([`plan`]): shard ranges come from
-//!    `tn_compass::weighted_split_points` over per-core synapse weights,
+//!    `tn_compass::split_cores` over per-core synapse weights,
 //!    so the same network always splits the same way.
 //! 2. **A barrier per tick** ([`mailbox`], [`coordinator`]): the
 //!    coordinator distributes every shard's boundary spikes for tick T

@@ -1,7 +1,7 @@
 //! Deterministic partitioning of one network into shard core ranges,
 //! plus compiled boundary routing tables.
 //!
-//! The partitioner reuses `tn_compass::weighted_split_points` — the same
+//! The partitioner reuses `tn_compass::split_cores` — the same
 //! load-balancing Compass applies to threads (paper Section III-B),
 //! lifted to processes: cores are weighted by synaptic traffic and split
 //! into contiguous ranges of near-equal weight. Contiguity keeps shard
@@ -15,7 +15,7 @@
 //! of time so the per-spike routing path is a table lookup, not a
 //! binary search.
 
-use tn_compass::{owner_of, weighted_split_points};
+use tn_compass::{owner_of, split_cores};
 use tn_core::{Dest, Network};
 
 /// Contiguous core-range assignment of one network to `shards` workers.
@@ -30,18 +30,12 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Partition `net` into at most `shards` ranges (clamped down so
-    /// every shard owns at least one core), weighting each core the way
-    /// `ParallelSim` weights its thread ranges: a fixed per-core cost
-    /// plus its active synapse count.
+    /// every shard owns at least one core), weighted the way
+    /// `ParallelSim` weights its thread ranges.
     pub fn compute(net: &Network, shards: usize) -> ShardPlan {
-        let weights: Vec<u64> = net
-            .cores()
-            .iter()
-            .map(|c| 64 + c.config().crossbar.active_synapses() as u64)
-            .collect();
         ShardPlan {
-            starts: weighted_split_points(&weights, shards),
-            num_cores: weights.len(),
+            starts: split_cores(net, shards),
+            num_cores: net.num_cores(),
         }
     }
 

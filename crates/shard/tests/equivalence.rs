@@ -185,7 +185,10 @@ fn sharded_agrees_with_parallel_and_chip_engines() {
     let text = common::fault_plan_text();
     let plan = FaultPlan::parse(text).unwrap();
     let reference = reference_transcript(3, 3, 23, ticks, Some(text));
-    assert_eq!(reference.dropped_inputs, 1, "the out-of-grid event is dropped");
+    assert_eq!(
+        reference.dropped_inputs, 1,
+        "the out-of-grid event is dropped"
+    );
     assert!(
         reference.counters.is_some_and(|c| c.total_dropped() > 0),
         "the plan must actually drop traffic"

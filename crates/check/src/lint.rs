@@ -227,13 +227,52 @@ fn is_detached_spawn(lines: &[&str], idx: usize) -> bool {
 /// Whether the statement starting at `lines[idx]` calls `.join()` on its
 /// own method chain (bracket depth 0) before it ends — the
 /// `spawn(..).expect(..).join()` shape. A `.join()` inside the spawned
-/// closure is deeper and does not count.
+/// closure is deeper and does not count. String and char literals are
+/// skipped, so a bracket, `;` or `.join()` quoted in the closure changes
+/// nothing.
 fn joined_in_statement(lines: &[&str], idx: usize) -> bool {
     let mut depth = 0i32;
+    // Inside a string literal, which may span lines: the `#`s that close
+    // it and whether it is raw (no escapes).
+    let mut string: Option<(usize, bool)> = None;
     for raw in &lines[idx..] {
-        let code = code_part(raw);
-        for (i, c) in code.char_indices() {
+        let cs: Vec<char> = raw.chars().collect();
+        let mut i = 0;
+        while i < cs.len() {
+            let c = cs[i];
+            i += 1;
+            if let Some((hashes, is_raw)) = string {
+                if c == '\\' && !is_raw {
+                    i += 1;
+                } else if c == '"' && cs[i..].iter().take_while(|&&h| h == '#').count() >= hashes {
+                    i += hashes;
+                    string = None;
+                }
+                continue;
+            }
             match c {
+                '/' if cs.get(i) == Some(&'/') => break,
+                '"' => {
+                    let hashes = cs[..i - 1].iter().rev().take_while(|&&h| h == '#').count();
+                    let is_raw = i >= hashes + 2 && cs[i - 2 - hashes] == 'r';
+                    string = Some((if is_raw { hashes } else { 0 }, is_raw));
+                }
+                // A char literal ('x', '\n', '\u{7d}'); a lifetime has no
+                // closing quote.
+                '\'' => {
+                    let close = match cs.get(i) {
+                        Some('\\') => cs
+                            .iter()
+                            .skip(i + 2)
+                            .position(|&q| q == '\'')
+                            .map(|p| i + 2 + p),
+                        Some(_) if cs.get(i + 1) == Some(&'\'') => Some(i + 1),
+                        _ => None,
+                    };
+                    if let Some(end) = close {
+                        i = end + 1;
+                    }
+                }
                 '(' | '[' | '{' => depth += 1,
                 ')' | ']' | '}' => {
                     depth -= 1;
@@ -242,7 +281,9 @@ fn joined_in_statement(lines: &[&str], idx: usize) -> bool {
                     }
                 }
                 ';' if depth == 0 => return false,
-                '.' if depth == 0 && code[i..].starts_with(".join()") => return true,
+                '.' if depth == 0 && cs[i..].starts_with(&['j', 'o', 'i', 'n', '(', ')']) => {
+                    return true
+                }
                 _ => {}
             }
         }
@@ -423,6 +464,24 @@ mod tests {
             scan(unjoined),
             vec!["TN024"],
             "a join inside the closure or after the statement does not count"
+        );
+        for quoted in [
+            "thread::spawn(move || { f(\"})\").join() });\n",
+            "thread::spawn(move || { f('}', ')').join() });\n",
+            "thread::spawn(move || { f(r#\"\")}\"#).join() });\n",
+            "thread::spawn(move || { f(\"\\\"})\").join() });\n",
+            "thread::spawn(move || {\n    f(\"a\n}) b\").join()\n});\n",
+        ] {
+            assert_eq!(
+                scan(quoted),
+                vec!["TN024"],
+                "brackets in a literal: {quoted}"
+            );
+        }
+        let lifetime = "thread::spawn(move || -> &'static str { \"x\" }).join().unwrap();\n";
+        assert!(
+            scan(lifetime).is_empty(),
+            "a lifetime is not a char literal"
         );
     }
 

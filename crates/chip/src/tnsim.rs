@@ -12,7 +12,6 @@
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::mesh::{LinkAccounting, Mesh, NocTickLoads};
 use crate::timing::{CoreLoad, TimingModel};
-use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 use tn_compass::{publish_common, EngineShell, KernelSession, SpikeRecord};
 use tn_core::fault::{FaultCounters, FaultKind};
@@ -124,8 +123,6 @@ impl std::fmt::Display for ChipReport {
 }
 
 /// Architectural simulator of one or more tiled TrueNorth chips.
-/// Dereferences to its [`EngineShell`] for the accessors every engine
-/// shares.
 ///
 /// Kernel-level fault semantics (send-time filtering, structural
 /// mutations) come from the shared tick pipeline, so faulted runs stay
@@ -155,19 +152,6 @@ pub struct TrueNorthSim {
     /// Energy accumulated assuming max-speed operation.
     energy_max_speed: EnergyBreakdown,
     spike_buf: Vec<OutSpike>,
-}
-
-impl Deref for TrueNorthSim {
-    type Target = EngineShell;
-    fn deref(&self) -> &EngineShell {
-        &self.shell
-    }
-}
-
-impl DerefMut for TrueNorthSim {
-    fn deref_mut(&mut self) -> &mut EngineShell {
-        &mut self.shell
-    }
 }
 
 impl TrueNorthSim {
@@ -230,6 +214,8 @@ impl TrueNorthSim {
         }
         Ok((Self::new(net), diagnostics))
     }
+
+    tn_compass::engine_accessors!(inherent);
 
     pub fn mesh(&mut self) -> &mut Mesh {
         &mut self.mesh
@@ -464,13 +450,7 @@ impl KernelSession for TrueNorthSim {
         TrueNorthSim::step(self, src).0
     }
 
-    fn shell(&self) -> &EngineShell {
-        &self.shell
-    }
-
-    fn shell_mut(&mut self) -> &mut EngineShell {
-        &mut self.shell
-    }
+    tn_compass::engine_accessors!(session);
 
     fn energy_j(&self) -> Option<f64> {
         Some(self.energy_realtime.total_j())

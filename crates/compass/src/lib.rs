@@ -35,5 +35,7 @@ pub use parallel::{AggregationMode, ParallelSim, PoolMode};
 pub use partition::{owner_of, split_cores, weighted_split_points};
 pub use reference::ReferenceSim;
 pub use session::{publish_common, KernelSession};
+#[doc(hidden)]
+pub use shell::__deps;
 pub use shell::EngineShell;
 pub use trace::SpikeTrace;

@@ -49,13 +49,12 @@
 //! on the firing side, so every drop is counted exactly once; the forks'
 //! counters are merged back after each run.
 
-use crate::output::{OutputEvent, SpikeRecord};
+use crate::output::OutputEvent;
 use crate::partition::{owner_of, split_cores};
 use crate::session::{publish_common, KernelSession};
 use crate::shell::EngineShell;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, Barrier, Condvar, Mutex};
-use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 use tn_core::fault::{FaultCounters, FaultState};
 use tn_core::nscore::NeurosynapticCore;
@@ -488,8 +487,7 @@ impl Route for Mail<'_> {
     }
 }
 
-/// Multithreaded software expression of the kernel. Dereferences to its
-/// [`EngineShell`] for the accessors every engine shares.
+/// Multithreaded software expression of the kernel.
 pub struct ParallelSim {
     shell: EngineShell,
     threads: usize,
@@ -497,19 +495,6 @@ pub struct ParallelSim {
     pool_mode: PoolMode,
     pool: Option<WorkerPool>,
     pool_metrics: PoolMetrics,
-}
-
-impl Deref for ParallelSim {
-    type Target = EngineShell;
-    fn deref(&self) -> &EngineShell {
-        &self.shell
-    }
-}
-
-impl DerefMut for ParallelSim {
-    fn deref_mut(&mut self) -> &mut EngineShell {
-        &mut self.shell
-    }
 }
 
 impl ParallelSim {
@@ -559,9 +544,7 @@ impl ParallelSim {
         self.pool_mode
     }
 
-    pub fn into_parts(self) -> (Network, SpikeRecord, RunStats) {
-        self.shell.into_parts()
-    }
+    crate::engine_accessors!(inherent);
 
     /// Run `ticks` steps on the worker pool. In [`PoolMode::Persistent`]
     /// the pool (threads, partition, mailboxes) is created on the first
@@ -638,13 +621,7 @@ impl KernelSession for ParallelSim {
         self.run_for(1, src)
     }
 
-    fn shell(&self) -> &EngineShell {
-        &self.shell
-    }
-
-    fn shell_mut(&mut self) -> &mut EngineShell {
-        &mut self.shell
-    }
+    crate::engine_accessors!(session);
 
     fn publish_metrics(&self, registry: &Registry) {
         publish_common(self, registry);

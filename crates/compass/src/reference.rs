@@ -8,33 +8,18 @@ use crate::output::SpikeRecord;
 use crate::session::KernelSession;
 use crate::shell::EngineShell;
 use crate::trace::SpikeTrace;
-use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 use tn_core::nscore::NeurosynapticCore;
 use tn_core::tick::{self, Route};
 use tn_core::{CoreId, Network, OutSpike, RunStats, SpikeSource, SpikeTarget, TickStats};
 use tn_obs::TickPhase;
 
-/// Single-threaded blueprint simulator. Dereferences to its
-/// [`EngineShell`] for the accessors every engine shares.
+/// Single-threaded blueprint simulator.
 pub struct ReferenceSim {
     shell: EngineShell,
     spike_buf: Vec<OutSpike>,
     grouped: Grouped,
     trace: Option<SpikeTrace>,
-}
-
-impl Deref for ReferenceSim {
-    type Target = EngineShell;
-    fn deref(&self) -> &EngineShell {
-        &self.shell
-    }
-}
-
-impl DerefMut for ReferenceSim {
-    fn deref_mut(&mut self) -> &mut EngineShell {
-        &mut self.shell
-    }
 }
 
 impl ReferenceSim {
@@ -47,6 +32,8 @@ impl ReferenceSim {
         }
     }
 
+    crate::engine_accessors!(inherent);
+
     /// Enable full spike tracing with a rolling window of `capacity`
     /// events (see [`crate::trace`]).
     pub fn enable_trace(&mut self, capacity: usize) {
@@ -55,11 +42,6 @@ impl ReferenceSim {
 
     pub fn trace(&self) -> Option<&SpikeTrace> {
         self.trace.as_ref()
-    }
-
-    /// Consume the simulator, returning the network and transcript.
-    pub fn into_parts(self) -> (Network, SpikeRecord, RunStats) {
-        self.shell.into_parts()
     }
 
     /// Advance one tick.
@@ -118,13 +100,7 @@ impl KernelSession for ReferenceSim {
         ReferenceSim::step(self, src)
     }
 
-    fn shell(&self) -> &EngineShell {
-        &self.shell
-    }
-
-    fn shell_mut(&mut self) -> &mut EngineShell {
-        &mut self.shell
-    }
+    crate::engine_accessors!(session);
 }
 
 /// Scratch for grouping one tick's deliveries by target core.

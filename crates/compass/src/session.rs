@@ -6,12 +6,12 @@
 //! Rust trait — the uniform surface a host (the `tn-serve` runtime, a
 //! test harness, a batch driver) needs to drive *any* expression: step it
 //! tick by tick with injected spikes, read its outputs and statistics,
-//! and checkpoint/restore its dynamic state. Every expression keeps an
-//! [`EngineShell`], and the trait's provided methods work on it, so each
-//! implementation holds only its engine-specific parts.
+//! and checkpoint/restore its dynamic state. An expression built on an
+//! [`EngineShell`](crate::EngineShell) implements the shell-backed methods
+//! with [`engine_accessors!`](crate::engine_accessors); a distributed
+//! one writes its own.
 
 use crate::output::SpikeRecord;
-use crate::shell::EngineShell;
 use std::sync::Arc;
 use tn_core::fault::{FaultCounters, FaultPlan};
 use tn_core::{Network, NetworkSnapshot, RunStats, SpikeSource, TickStats};
@@ -29,36 +29,20 @@ pub trait KernelSession: Send {
     /// Advance one tick, pulling external input from `src`.
     fn step(&mut self, src: &mut (dyn SpikeSource + Send)) -> TickStats;
 
-    /// The state every expression keeps; the provided methods below
-    /// read and drive it, so an expression overrides only what differs.
-    fn shell(&self) -> &EngineShell;
-
-    fn shell_mut(&mut self) -> &mut EngineShell;
-
     /// The tick about to run (= ticks completed so far).
-    fn current_tick(&self) -> u64 {
-        self.shell().tick
-    }
+    fn current_tick(&self) -> u64;
 
-    fn network(&self) -> &Network {
-        &self.shell().net
-    }
+    fn network(&self) -> &Network;
 
     /// Output transcript; a streaming host drains it each tick via
     /// [`SpikeRecord::take`] to keep memory bounded.
-    fn outputs(&mut self) -> &mut SpikeRecord {
-        &mut self.shell_mut().outputs
-    }
+    fn outputs(&mut self) -> &mut SpikeRecord;
 
-    fn stats(&self) -> &RunStats {
-        &self.shell().stats
-    }
+    fn stats(&self) -> &RunStats;
 
     /// Injected events dropped by the expression itself (out-of-grid
     /// targets), excluding drops upstream in any injection queue.
-    fn dropped_inputs(&self) -> u64 {
-        self.shell().dropped_inputs
-    }
+    fn dropped_inputs(&self) -> u64;
 
     /// Settle the expression at the current tick boundary so its state
     /// is fully observable — the live-migration handoff hook. The
@@ -71,15 +55,11 @@ pub trait KernelSession: Send {
     /// Capture dynamic state at the current tick boundary. Takes `&mut
     /// self` because a distributed expression must first flush in-flight
     /// boundary traffic so the snapshot equals the single-process state.
-    fn checkpoint(&mut self) -> NetworkSnapshot {
-        self.shell().checkpoint()
-    }
+    fn checkpoint(&mut self) -> NetworkSnapshot;
 
     /// Restore dynamic state; the tick counter resumes from the
     /// snapshot's tick. The snapshot must match the network shape.
-    fn restore(&mut self, snap: &NetworkSnapshot) {
-        self.shell_mut().restore(snap)
-    }
+    fn restore(&mut self, snap: &NetworkSnapshot);
 
     /// Cumulative modelled energy in joules at real-time operation, if
     /// this expression carries an energy model.
@@ -108,20 +88,14 @@ pub trait KernelSession: Send {
     /// Attach a scheduled fault plan. The fault semantics are part of
     /// the blueprint: every expression filters the same spikes on the
     /// same ticks, so a faulted run stays bit-identical across engines.
-    fn attach_faults(&mut self, plan: &FaultPlan) {
-        self.shell_mut().attach_faults(plan)
-    }
+    fn attach_faults(&mut self, plan: &FaultPlan);
 
     /// Per-class fault drop counters, `None` if no plan is attached.
-    fn fault_counters(&self) -> Option<FaultCounters> {
-        self.shell().faults().map(|f| *f.counters())
-    }
+    fn fault_counters(&self) -> Option<FaultCounters>;
 
     /// Attach per-tick span hooks (see [`tn_obs::TickObserver`]); called
     /// synchronously from the tick loop, so keep implementations cheap.
-    fn set_observer(&mut self, observer: Arc<dyn TickObserver>) {
-        self.shell_mut().set_observer(observer)
-    }
+    fn set_observer(&mut self, _observer: Arc<dyn TickObserver>) {}
 
     /// Synchronise this expression's counters into a metrics registry
     /// (monotonic totals, tier tallies, fault drops, plus any

@@ -1,13 +1,17 @@
 //! The engine shell: everything a kernel expression keeps besides its
 //! tick loop, written once.
 //!
-//! [`ReferenceSim`](crate::ReferenceSim), [`ParallelSim`](crate::ParallelSim)
-//! and the chip simulator each own an [`EngineShell`] and dereference to
-//! it, so the network, tick counter, statistics, output transcript,
-//! input-drop tally, fault state and observer — and the accessors,
-//! checkpoint/restore and observer plumbing around them — exist in one
-//! place. [`KernelSession`](crate::KernelSession)'s provided methods are
-//! written against it too.
+//! [`ReferenceSim`](crate::ReferenceSim), [`ParallelSim`](crate::ParallelSim),
+//! the chip simulator and the sharded session each keep an
+//! [`EngineShell`] in a private field named `shell`: the network, tick
+//! counter, statistics, output transcript, input-drop tally, fault state
+//! and observer, plus checkpoint/restore and the tick start/end plumbing
+//! around them. Hosts never reach the shell itself;
+//! [`engine_accessors!`](crate::engine_accessors) generates the accessors
+//! they call, on the engine and in its
+//! [`KernelSession`](crate::KernelSession) impl. So those too are written
+//! once, and only the engine's own tick loop can move its tick counter
+//! or run half a tick.
 
 use crate::output::SpikeRecord;
 use std::ops::Range;
@@ -18,7 +22,26 @@ use tn_core::{tick, CoreId, Network, NetworkSnapshot, RunStats, SpikeSource, Tic
 use tn_obs::{TickObserver, TickPhase, TickSummary};
 
 /// The state every engine shares. Fields are public so an engine's tick
-/// loop can borrow them side by side; hosts use the accessors.
+/// loop can borrow them side by side; an engine keeps its shell private.
+/// A host reads an engine through its accessors:
+///
+/// ```
+/// let mut sim = tn_compass::ReferenceSim::new(tn_core::NetworkBuilder::new(1, 1, 0).build());
+/// sim.step(&mut tn_core::network::NullSource);
+/// assert_eq!(sim.current_tick(), 1);
+/// ```
+///
+/// but can neither run half a tick nor move the tick counter:
+///
+/// ```compile_fail
+/// let mut sim = tn_compass::ReferenceSim::new(tn_core::NetworkBuilder::new(1, 1, 0).build());
+/// sim.begin_tick(&mut tn_core::network::NullSource);
+/// ```
+///
+/// ```compile_fail
+/// let mut sim = tn_compass::ReferenceSim::new(tn_core::NetworkBuilder::new(1, 1, 0).build());
+/// sim.tick = 5;
+/// ```
 pub struct EngineShell {
     pub net: Network,
     /// The tick about to run (= ticks completed so far).
@@ -48,13 +71,6 @@ impl EngineShell {
         }
     }
 
-    /// Attach per-tick span hooks (see [`tn_obs::TickObserver`]). The
-    /// observer is called synchronously from the tick loop; when unset
-    /// the hooks cost one branch per phase.
-    pub fn set_observer(&mut self, observer: Arc<dyn TickObserver>) {
-        self.observer = Some(observer);
-    }
-
     /// Attach a compiled fault plan. Scheduled faults take effect at the
     /// start of their tick; faults already in the past fire on the next
     /// step. Replaces any previously attached plan.
@@ -64,16 +80,6 @@ impl EngineShell {
             self.net.width(),
             self.net.height(),
         ));
-    }
-
-    /// The attached fault state (counters, schedule), if any.
-    pub fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
-    /// Statically verify the network before running (see [`tn_core::lint`]).
-    pub fn verify(&self, cfg: &tn_core::LintConfig) -> Vec<tn_core::Diagnostic> {
-        self.net.verify(cfg)
     }
 
     /// Checkpoint the simulation at the current tick boundary.
@@ -92,37 +98,6 @@ impl EngineShell {
         if let Some(f) = &mut self.faults {
             f.reset_for_restore(&mut self.net, snap.tick);
         }
-    }
-
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    pub fn current_tick(&self) -> u64 {
-        self.tick
-    }
-
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    pub fn outputs(&mut self) -> &mut SpikeRecord {
-        &mut self.outputs
-    }
-
-    /// Externally injected events dropped because they targeted a core
-    /// outside the grid (diagnosed instead of panicking at tick time).
-    pub fn dropped_inputs(&self) -> u64 {
-        self.dropped_inputs
-    }
-
-    /// Consume the shell, returning the network and transcript.
-    pub fn into_parts(self) -> (Network, SpikeRecord, RunStats) {
-        (self.net, self.outputs, self.stats)
     }
 
     /// Tell the observer the current tick entered `phase`.
@@ -190,4 +165,137 @@ impl EngineShell {
             });
         }
     }
+}
+
+/// Paths [`engine_accessors!`](crate::engine_accessors) expands to.
+#[doc(hidden)]
+pub mod __deps {
+    pub use tn_core::fault::{FaultCounters, FaultPlan, FaultState};
+    pub use tn_core::{Diagnostic, LintConfig, Network, NetworkSnapshot, RunStats};
+    pub type Observer = std::sync::Arc<dyn tn_obs::TickObserver>;
+}
+
+/// The accessors every engine shares, for a type that keeps its
+/// [`EngineShell`] in a private field named `shell`.
+/// `engine_accessors!(inherent)` goes in the engine's own impl block,
+/// `engine_accessors!(session)` in its
+/// [`KernelSession`](crate::KernelSession) impl. An expression whose
+/// shell only mirrors state held elsewhere (the sharded session) uses
+/// `engine_accessors!(session_view)`, the read side and the observer,
+/// and writes `checkpoint`, `restore`, `attach_faults` and
+/// `fault_counters` itself.
+#[macro_export]
+macro_rules! engine_accessors {
+    (inherent) => {
+        /// Attach per-tick span hooks (see [`tn_obs::TickObserver`]). The
+        /// observer is called synchronously from the tick loop; when unset
+        /// the hooks cost one branch per phase.
+        pub fn set_observer(&mut self, observer: $crate::__deps::Observer) {
+            self.shell.observer = Some(observer);
+        }
+
+        /// Attach a compiled fault plan. Scheduled faults take effect at
+        /// the start of their tick; faults already in the past fire on the
+        /// next step. Replaces any previously attached plan.
+        pub fn attach_faults(&mut self, plan: &$crate::__deps::FaultPlan) {
+            self.shell.attach_faults(plan);
+        }
+
+        /// The attached fault state (counters, schedule), if any.
+        pub fn faults(&self) -> Option<&$crate::__deps::FaultState> {
+            self.shell.faults.as_ref()
+        }
+
+        /// Statically verify the network before running (see
+        /// [`tn_core::lint`]).
+        pub fn verify(&self, cfg: &$crate::__deps::LintConfig) -> Vec<$crate::__deps::Diagnostic> {
+            self.shell.net.verify(cfg)
+        }
+
+        /// Checkpoint the simulation at the current tick boundary.
+        pub fn checkpoint(&self) -> $crate::__deps::NetworkSnapshot {
+            self.shell.checkpoint()
+        }
+
+        /// Restore a checkpoint taken from an identically-configured
+        /// simulation; the tick counter resumes from the snapshot's tick.
+        /// Telemetry is not rewound.
+        pub fn restore(&mut self, snap: &$crate::__deps::NetworkSnapshot) {
+            self.shell.restore(snap);
+        }
+
+        pub fn network(&self) -> &$crate::__deps::Network {
+            &self.shell.net
+        }
+
+        pub fn network_mut(&mut self) -> &mut $crate::__deps::Network {
+            &mut self.shell.net
+        }
+
+        /// The tick about to run (= ticks completed so far).
+        pub fn current_tick(&self) -> u64 {
+            self.shell.tick
+        }
+
+        pub fn stats(&self) -> &$crate::__deps::RunStats {
+            &self.shell.stats
+        }
+
+        pub fn outputs(&mut self) -> &mut $crate::SpikeRecord {
+            &mut self.shell.outputs
+        }
+
+        /// Externally injected events dropped because they targeted a
+        /// core outside the grid (diagnosed instead of panicking at tick
+        /// time).
+        pub fn dropped_inputs(&self) -> u64 {
+            self.shell.dropped_inputs
+        }
+
+        /// Consume the simulator, returning the network and transcript.
+        pub fn into_parts(
+            self,
+        ) -> (
+            $crate::__deps::Network,
+            $crate::SpikeRecord,
+            $crate::__deps::RunStats,
+        ) {
+            (self.shell.net, self.shell.outputs, self.shell.stats)
+        }
+    };
+    (session) => {
+        $crate::engine_accessors!(session_view);
+        fn checkpoint(&mut self) -> $crate::__deps::NetworkSnapshot {
+            self.shell.checkpoint()
+        }
+        fn restore(&mut self, snap: &$crate::__deps::NetworkSnapshot) {
+            self.shell.restore(snap)
+        }
+        fn attach_faults(&mut self, plan: &$crate::__deps::FaultPlan) {
+            self.shell.attach_faults(plan)
+        }
+        fn fault_counters(&self) -> Option<$crate::__deps::FaultCounters> {
+            self.shell.faults.as_ref().map(|f| *f.counters())
+        }
+    };
+    (session_view) => {
+        fn current_tick(&self) -> u64 {
+            self.shell.tick
+        }
+        fn network(&self) -> &$crate::__deps::Network {
+            &self.shell.net
+        }
+        fn outputs(&mut self) -> &mut $crate::SpikeRecord {
+            &mut self.shell.outputs
+        }
+        fn stats(&self) -> &$crate::__deps::RunStats {
+            &self.shell.stats
+        }
+        fn dropped_inputs(&self) -> u64 {
+            self.shell.dropped_inputs
+        }
+        fn set_observer(&mut self, observer: $crate::__deps::Observer) {
+            self.shell.observer = Some(observer);
+        }
+    };
 }
